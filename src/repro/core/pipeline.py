@@ -219,8 +219,9 @@ class HEBS:
         grab the pre-characterized one from
         :func:`repro.bench.suite.default_curve`.
     config:
-        Pipeline knobs; defaults follow the paper (8-segment PLC, g_min = 0,
-        worst-case curve).
+        Pipeline knobs; defaults follow the paper (8-segment PLC, g_min = 0)
+        and consult the curve's dataset-average fit (set
+        ``worst_case_curve=True`` for the worst-case fit).
     power_model:
         Display power model used for the power accounting (defaults to the
         LP064V1 CCFL + panel).

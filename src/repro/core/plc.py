@@ -16,11 +16,20 @@ between breakpoint ``j`` and breakpoint ``n`` by the single chord from
 ``p_j`` to ``p_n``.  The complexity is ``O(m n^2)``; the chord errors are
 precomputed in ``O(n^2)`` with prefix sums, so the whole solver is fast
 enough to run per frame.
+
+Kernel layout: chord errors are computed for ``i < j`` only (cached
+``triu_indices``, 1-D ``take`` from one stacked prefix table), the terms that
+depend on ``x`` alone are cached per abscissa vector (a GHE curve's ``x`` is
+always ``arange(n)``), and the DP runs on a transposed ``(j, i)`` table whose
+forbidden triangle is filled once, so each step is a contiguous add plus a
+row-wise ``argmin``/``min``.  Every entry keeps the per-element formula's
+operations and their order, so results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -129,62 +138,106 @@ def segment_error(x: Sequence[float], y: Sequence[float], start: int,
     return float(np.sum((ys - predicted) ** 2))
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays`` made read-only: cached tables are shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _chord_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the ``n (n - 1) / 2`` chords ``i < j``, row-major.
+
+    Returns the chord starts and ends, ``end + 1`` (where each chord's
+    prefix-sum window ends), the positions of the adjacent chords
+    (``j = i + 1``) and each chord's flat position in the transposed
+    ``(j, i)`` DP table.
+    """
+    start, end = np.triu_indices(n, 1)
+    return _frozen(start, end, end + 1, np.flatnonzero(end == start + 1),
+                   end * n + start)
+
+
+@lru_cache(maxsize=4)
+def _abscissa_terms(x_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """The chord-error terms that depend on ``x`` only, per chord.
+
+    Keyed on the abscissas' bytes: a GHE curve's ``x`` is always
+    ``arange(n)``, so per-frame solves compute these once.
+    """
+    x = np.frombuffer(x_bytes, dtype=np.float64)
+    start, end, window_end = _chord_indices(x.size)[:3]
+    prefix = np.zeros((2, x.size + 1))
+    np.cumsum(np.stack([x, x * x]), axis=1, out=prefix[:, 1:])
+    sum_x, sum_xx = prefix.take(window_end, axis=1) - prefix.take(start, axis=1)
+    count = (end - start + 1).astype(np.float64)
+    x_i = x[start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_span = x[end] - x_i
+        sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
+        count_x = count * x_i
+    return _frozen(count, x_i, x_span, sum_x, sum_b2, count_x)
+
+
+def _upper_chord_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Chord errors of every ``i < j`` in ``np.triu_indices(n, 1)`` order."""
+    n = x.size
+    start, end, window_end, adjacent, _ = _chord_indices(n)
+    count, x_i, x_span, sum_x, sum_b2, count_x = _abscissa_terms(x.tobytes())
+    prefix = np.zeros((3, n + 1))
+    np.cumsum(np.stack([y, y * y, x * y]), axis=1, out=prefix[:, 1:])
+    sums = prefix.take(window_end, axis=1)
+    sums -= prefix.take(start, axis=1)
+    sum_y, sum_yy, sum_xy = sums
+
+    # The chord error of every pair, evaluated in place (chord-sized
+    # temporaries dominate the cost otherwise) with every product and sum in
+    # the order of the plain expressions, so the result is bit-identical:
+    #   slope  = (y_j - y_i) / (x_j - x_i)
+    #   sum_a2 = sum_yy - 2 y_i sum_y + count y_i y_i
+    #   sum_ab = sum_xy - x_i sum_y - y_i sum_x + (count x_i) y_i
+    #   errors = sum_a2 - 2 slope sum_ab + slope slope sum_b2
+    y_i, slope = y.take(start), y.take(end)
+    term = np.empty_like(y_i)
+    mul = np.multiply
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope -= y_i
+        slope /= x_span
+        sum_a2 = sum_yy
+        sum_a2 -= mul(mul(2.0, y_i, out=term), sum_y, out=term)
+        sum_a2 += mul(mul(count, y_i, out=term), y_i, out=term)
+        sum_ab = sum_xy
+        sum_ab -= mul(x_i, sum_y, out=term)
+        sum_ab -= mul(y_i, sum_x, out=term)
+        sum_ab += mul(count_x, y_i, out=term)
+        errors = sum_a2
+        errors -= mul(mul(2.0, slope, out=term), sum_ab, out=term)
+        errors += mul(mul(slope, slope, out=term), sum_b2, out=term)
+
+    # Adjacent breakpoints form a chord with no interior points: the error is
+    # exactly zero, but the formula above can produce 0 * inf = nan when two
+    # x values are almost coincident (huge slope).  Force the exact value.
+    errors[adjacent] = 0.0
+    # Any other non-finite entry (overflowing slope across a near-duplicate
+    # abscissa) is treated as an unusable chord.
+    errors[~np.isfinite(errors)] = np.inf
+    return np.maximum(errors, 0.0, out=errors)  # clamp tiny negative round-off
+
+
 def chord_error_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All-pairs chord errors ``err[i, j]`` for ``i < j`` in ``O(n^2)``.
 
     Uses prefix sums of ``y``, ``y^2``, ``x``, ``x^2`` and ``x*y`` so each
     entry costs O(1): with ``a_k = y_k - y_i`` and ``b_k = x_k - x_i`` the
     chord error is ``sum a_k^2 - 2 s sum a_k b_k + s^2 sum b_k^2`` where
-    ``s`` is the chord slope.
+    ``s`` is the chord slope.  Entries with ``i >= j`` are zero.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    prefix = {
-        "y": np.concatenate([[0.0], np.cumsum(y)]),
-        "yy": np.concatenate([[0.0], np.cumsum(y * y)]),
-        "x": np.concatenate([[0.0], np.cumsum(x)]),
-        "xx": np.concatenate([[0.0], np.cumsum(x * x)]),
-        "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
-    }
-
-    def window_sum(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # inclusive sum over indices i..j
-        return table[j + 1] - table[i]
-
-    i_index, j_index = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    valid = j_index > i_index
-    i_flat = i_index[valid]
-    j_flat = j_index[valid]
-
-    count = (j_flat - i_flat + 1).astype(np.float64)
-    sum_y = window_sum(prefix["y"], i_flat, j_flat)
-    sum_yy = window_sum(prefix["yy"], i_flat, j_flat)
-    sum_x = window_sum(prefix["x"], i_flat, j_flat)
-    sum_xx = window_sum(prefix["xx"], i_flat, j_flat)
-    sum_xy = window_sum(prefix["xy"], i_flat, j_flat)
-
-    x_i, y_i = x[i_flat], y[i_flat]
-    x_j, y_j = x[j_flat], y[j_flat]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (y_j - y_i) / (x_j - x_i)
-
-        sum_a2 = sum_yy - 2.0 * y_i * sum_y + count * y_i * y_i
-        sum_b2 = sum_xx - 2.0 * x_i * sum_x + count * x_i * x_i
-        sum_ab = sum_xy - x_i * sum_y - y_i * sum_x + count * x_i * y_i
-
-        errors = sum_a2 - 2.0 * slope * sum_ab + slope * slope * sum_b2
-
-    # Adjacent breakpoints form a chord with no interior points: the error is
-    # exactly zero, but the formula above can produce 0 * inf = nan when two
-    # x values are almost coincident (huge slope).  Force the exact value.
-    errors = np.where(j_flat == i_flat + 1, 0.0, errors)
-    # Any other non-finite entry (overflowing slope across a near-duplicate
-    # abscissa) is treated as an unusable chord.
-    errors = np.where(np.isfinite(errors), errors, np.inf)
-
-    matrix = np.zeros((n, n), dtype=np.float64)
-    matrix[valid] = np.maximum(errors, 0.0)  # clamp tiny negative round-off
+    start, end = _chord_indices(x.size)[:2]
+    matrix = np.zeros((x.size, x.size))
+    matrix[start, end] = _upper_chord_errors(x, y)
     return matrix
 
 
@@ -215,30 +268,28 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
         return PiecewiseLinearCurve(curve.x, curve.y, 0.0,
                                     tuple(range(n)))
 
-    errors = chord_error_matrix(x, y)
+    # chords[j, i]: error of the chord i -> j; infinite unless i < j.
+    chords = np.full((n, n), np.inf)
+    chords.ravel()[_chord_indices(n)[4]] = _upper_chord_errors(x, y)
 
-    # cost[j, s]: minimal summed error covering breakpoints 0..j with exactly
-    # s chords ending at breakpoint j.
-    infinity = np.inf
-    cost = np.full((n, n_segments + 1), infinity)
-    parent = np.full((n, n_segments + 1), -1, dtype=np.int64)
+    # cost[s, j]: minimal summed error covering breakpoints 0..j with exactly
+    # s chords ending at breakpoint j; parent[s, j] is the chord's start.
+    cost = np.full((n_segments + 1, n), np.inf)
+    parent = np.full((n_segments + 1, n), -1, dtype=np.int64)
     cost[0, 0] = 0.0
+    candidate = np.empty_like(chords)
     for s in range(1, n_segments + 1):
-        previous = cost[:, s - 1]
-        # candidate[i, j] = cost of reaching i with s-1 chords + chord i->j
-        candidate = previous[:, None] + errors
-        candidate[np.tril_indices(n)] = infinity  # only i < j allowed
-        best_parent = np.argmin(candidate, axis=0)
-        best_cost = candidate[best_parent, np.arange(n)]
-        cost[:, s] = best_cost
-        parent[:, s] = best_parent
+        # candidate[j, i] = cost of reaching i with s-1 chords + chord i->j
+        np.add(chords, cost[s - 1], out=candidate)
+        parent[s] = np.argmin(candidate, axis=1)
+        np.min(candidate, axis=1, out=cost[s])
 
     # Use *at most* n_segments chords: because the approximation must
     # interpolate a subset of the original breakpoints (Eq. 8), adding a
     # breakpoint can occasionally increase the error, so the best segment
     # count may be smaller than the budget.  The hardware constraint is an
     # upper bound on the segment count, so picking fewer is always legal.
-    final_costs = cost[n - 1, 1:n_segments + 1]
+    final_costs = cost[1:, n - 1]
     if not np.any(np.isfinite(final_costs)):
         raise RuntimeError("PLC dynamic program failed to reach the last point")
     best_segments = int(np.argmin(final_costs)) + 1
@@ -248,7 +299,7 @@ def coarsen_curve(curve: PiecewiseLinearCurve, n_segments: int
     indices = [n - 1]
     node, s = n - 1, best_segments
     while s > 0:
-        node = int(parent[node, s])
+        node = int(parent[s, node])
         indices.append(node)
         s -= 1
     indices.reverse()

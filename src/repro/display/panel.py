@@ -145,9 +145,12 @@ class PanelModel:
 
         The source drivers refresh every pixel each frame, so the panel
         power of a frame is the mean of the per-pixel powers (normalized
-        per-pixel units, same scale as the CCFL model).
+        per-pixel units, same scale as the CCFL model).  The mean runs over
+        a C-ordered copy so the result does not depend on the pixel array's
+        memory layout.
         """
-        return float(np.mean(self.pixel_power(image.to_grayscale().as_float())))
+        power = self.pixel_power(image.to_grayscale().as_float())
+        return float(np.mean(np.ascontiguousarray(power)))
 
     def power_vs_transmittance(self, transmittance: float | np.ndarray
                                ) -> float | np.ndarray:

@@ -28,7 +28,7 @@ from repro.quality.metrics import (
     saturation_percentage,
 )
 from repro.quality.ssim import ssim_map
-from repro.quality.uqi import uqi_components_map, uqi_map
+from repro.quality.uqi import _uqi_factors, _window_moments, uqi_map
 
 __all__ = [
     "effective_distortion",
@@ -41,26 +41,6 @@ __all__ = [
 #: A distortion measure maps (original, transformed) to a percentage in
 #: ``[0, 100]`` where 0 means "indistinguishable" and larger means worse.
 DistortionMeasure = Callable[[Image, Image], float]
-
-
-def _windowed_weights(weights: np.ndarray, window: int) -> np.ndarray:
-    """Down-sample a per-pixel weight map to the per-window quality grid.
-
-    The UQI/SSIM maps are defined on valid sliding windows; each window is
-    weighted by the per-pixel HVS weight at its top-left anchor averaged over
-    the window extent (a cheap but adequate pooling).
-    """
-    out_h = weights.shape[0] - window + 1
-    out_w = weights.shape[1] - window + 1
-    padded = np.zeros((weights.shape[0] + 1, weights.shape[1] + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(weights, axis=0), axis=1)
-    sums = (
-        padded[window:, window:]
-        - padded[:-window, window:]
-        - padded[window:, :-window]
-        + padded[:-window, :-window]
-    )
-    return sums[:out_h, :out_w] / float(window * window)
 
 
 #: Default adaptation exponents of the effective-distortion measure: how much
@@ -119,8 +99,13 @@ def effective_distortion(original: Image, transformed: Image,
         raise ValueError("luminance_exponent must be in [0, 1]")
     if not 0.0 <= contrast_loss_exponent <= 1.0:
         raise ValueError("contrast_loss_exponent must be in [0, 1]")
-    correlation, luminance, contrast = uqi_components_map(
-        original, transformed, window=window)
+    # One summed-area pass pools the UQI moments and the HVS weights: each
+    # window is weighted by the per-pixel weight averaged over its extent.
+    weights = (hvs_model or HVSModel()).weights(original)
+    moments = _window_moments(original, transformed, window, weights)
+    correlation, luminance, contrast, var_x, var_y = _uqi_factors(
+        moments, window)
+    pooled_weights = moments[5] / float(window * window)
     structure = np.clip(correlation, 0.0, 1.0)
     luminance = np.clip(luminance, 0.0, 1.0) ** luminance_exponent
 
@@ -128,50 +113,20 @@ def effective_distortion(original: Image, transformed: Image,
     # factor 2*sx*sy/(sx^2+sy^2) is symmetric in gain and loss, so detect
     # loss separately: wherever the transformed window is *more* contrasty
     # than the original the factor is forced to 1 (full adaptation).
+    # The gain is the window's variance ratio var_y / var_x; flat original
+    # windows report a gain of 1 (nothing to lose).
     contrast = np.clip(contrast, 0.0, 1.0)
-    variance_gain = _local_variance_gain(original, transformed, window)
+    variance_gain = np.ones_like(var_x)
+    nonzero = var_x > 1e-12
+    variance_gain[nonzero] = var_y[nonzero] / var_x[nonzero]
     contrast = np.where(variance_gain >= 1.0, 1.0, contrast)
     contrast = contrast ** contrast_loss_exponent
 
     quality = structure * luminance * contrast
-
-    weights = (hvs_model or HVSModel()).weights(original)
-    pooled_weights = _windowed_weights(weights, window)
     weighted_quality = float(
         np.sum(quality * pooled_weights) / np.sum(pooled_weights)
     )
     return max(0.0, 100.0 * (1.0 - weighted_quality))
-
-
-def _local_variance_gain(original: Image, transformed: Image,
-                         window: int) -> np.ndarray:
-    """Per-window ratio of transformed to original pixel variance.
-
-    Values >= 1 mean the transformation locally *increased* contrast
-    (enhancement); values < 1 mean contrast was lost.  Flat original windows
-    report a gain of 1 (nothing to lose).
-    """
-    reference = original.to_grayscale().as_float()
-    candidate = transformed.to_grayscale().as_float()
-    n = float(window * window)
-
-    def _window_variance(values: np.ndarray) -> np.ndarray:
-        padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
-        padded[1:, 1:] = np.cumsum(np.cumsum(values, axis=0), axis=1)
-        sums = (padded[window:, window:] - padded[:-window, window:]
-                - padded[window:, :-window] + padded[:-window, :-window])
-        padded_sq = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
-        padded_sq[1:, 1:] = np.cumsum(np.cumsum(values * values, axis=0), axis=1)
-        sums_sq = (padded_sq[window:, window:] - padded_sq[:-window, window:]
-                   - padded_sq[window:, :-window] + padded_sq[:-window, :-window])
-        return np.maximum(sums_sq / n - (sums / n) ** 2, 0.0)
-
-    var_x = _window_variance(reference)
-    var_y = _window_variance(candidate)
-    gain = np.ones_like(var_x)
-    nonzero = var_x > 1e-12
-    gain[nonzero] = var_y[nonzero] / var_x[nonzero]
-    return gain
 
 
 def _uqi_distortion(original: Image, transformed: Image) -> float:

@@ -37,26 +37,18 @@ def _box_blur(values: np.ndarray, radius: int) -> np.ndarray:
     if radius <= 0:
         return values.copy()
     kernel = 2 * radius + 1
-    padded = np.pad(values, radius, mode="edge")
-    # horizontal pass via cumulative sums
-    csum = np.cumsum(padded, axis=1)
-    horizontal = np.empty_like(values, dtype=np.float64)
-    horizontal = (
-        csum[:, kernel - 1:]
-        - np.concatenate(
-            [np.zeros((csum.shape[0], 1)), csum[:, :-kernel]], axis=1
-        )
-    ) / kernel
-    horizontal = horizontal[radius:-radius, :] if radius else horizontal
+    # horizontal pass via cumulative sums; the first window subtracts nothing
+    csum = np.cumsum(np.pad(values, ((0, 0), (radius, radius)), mode="edge"),
+                     axis=1)
+    horizontal = csum[:, kernel - 1:].copy()
+    horizontal[:, 1:] -= csum[:, :-kernel]
+    horizontal /= kernel
     # vertical pass
-    padded_v = np.pad(horizontal, ((radius, radius), (0, 0)), mode="edge")
-    csum_v = np.cumsum(padded_v, axis=0)
-    vertical = (
-        csum_v[kernel - 1:, :]
-        - np.concatenate(
-            [np.zeros((1, csum_v.shape[1])), csum_v[:-kernel, :]], axis=0
-        )
-    ) / kernel
+    csum = np.cumsum(np.pad(horizontal, ((radius, radius), (0, 0)),
+                            mode="edge"), axis=0)
+    vertical = csum[kernel - 1:].copy()
+    vertical[1:] -= csum[:-kernel]
+    vertical /= kernel
     return vertical
 
 
@@ -106,7 +98,11 @@ class HVSModel:
         mean — a cheap stand-in for local contrast energy.
         """
         values = image.to_grayscale().as_float()
-        background = _box_blur(values, self.neighborhood_radius)
+        return self._activity(values,
+                              _box_blur(values, self.neighborhood_radius))
+
+    def _activity(self, values: np.ndarray, background: np.ndarray
+                  ) -> np.ndarray:
         deviation = np.abs(values - background)
         return np.clip(_box_blur(deviation, self.neighborhood_radius) * 4.0,
                        0.0, 1.0)
@@ -118,8 +114,9 @@ class HVSModel:
         flat regions); low weight means it is partially masked (bright or
         busy regions).
         """
-        luminance = self.background_luminance(image)
-        activity = self.local_activity(image)
+        values = image.to_grayscale().as_float()
+        luminance = _box_blur(values, self.neighborhood_radius)
+        activity = self._activity(values, luminance)
         adaptation = 1.0 / (1.0 + self.adaptation_strength * luminance)
         masking = 1.0 / (1.0 + self.masking_strength * activity)
         weights = adaptation * masking

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.imaging.image import Image
-from repro.quality.uqi import _sliding_window_sums
+from repro.quality.uqi import _window_moments
 
 __all__ = ["ssim", "ssim_map"]
 
@@ -40,28 +40,11 @@ def ssim_map(original: Image, transformed: Image, window: int = 8,
         original paper); the dynamic range L is 1 because we operate on
         normalized pixel values.
     """
-    if original.shape != transformed.shape:
-        raise ValueError(
-            f"image shapes differ: {original.shape} vs {transformed.shape}"
-        )
-    if window < 2:
-        raise ValueError("window must be at least 2 pixels")
-    reference = original.to_grayscale().as_float()
-    candidate = transformed.to_grayscale().as_float()
-    if window > min(reference.shape):
-        raise ValueError(
-            f"window ({window}) larger than image ({reference.shape})"
-        )
-
     c1 = (k1 * 1.0) ** 2
     c2 = (k2 * 1.0) ** 2
     n = float(window * window)
-
-    sum_x = _sliding_window_sums(reference, window)
-    sum_y = _sliding_window_sums(candidate, window)
-    sum_xx = _sliding_window_sums(reference * reference, window)
-    sum_yy = _sliding_window_sums(candidate * candidate, window)
-    sum_xy = _sliding_window_sums(reference * candidate, window)
+    sum_x, sum_y, sum_xx, sum_yy, sum_xy = _window_moments(
+        original, transformed, window)
 
     mean_x = sum_x / n
     mean_y = sum_y / n

@@ -31,20 +31,46 @@ __all__ = ["universal_quality_index", "uqi_map", "uqi_components_map"]
 _EPSILON = 1e-12
 
 
-def _sliding_window_sums(values: np.ndarray, window: int) -> np.ndarray:
-    """Sum of ``values`` over every ``window x window`` patch (valid mode).
+def _window_moments(original: Image, transformed: Image, window: int,
+                    *extra: np.ndarray) -> np.ndarray:
+    """Window sums of ``x``, ``y``, ``x^2``, ``y^2``, ``xy`` and ``extra``.
 
-    Implemented with a 2-D summed-area table so the whole UQI map is
-    O(H*W) instead of O(H*W*window^2).
+    ``x`` and ``y`` are the grayscale pixel values of ``original`` and
+    ``transformed`` in ``[0, 1]``; ``extra`` planes of the same shape ride
+    along.  Every plane is summed over every ``window x window`` patch (valid
+    mode) in one pass through a stacked 2-D summed-area table, so a quality
+    map costs O(H*W) per plane instead of O(H*W*window^2).  Returns a
+    ``(5 + len(extra), H - window + 1, W - window + 1)`` stack.
     """
-    padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.float64)
-    padded[1:, 1:] = np.cumsum(np.cumsum(values, axis=0), axis=1)
-    return (
-        padded[window:, window:]
-        - padded[:-window, window:]
-        - padded[window:, :-window]
-        + padded[:-window, :-window]
-    )
+    if original.shape != transformed.shape:
+        raise ValueError(
+            f"image shapes differ: {original.shape} vs {transformed.shape}"
+        )
+    reference = original.to_grayscale().as_float()
+    candidate = transformed.to_grayscale().as_float()
+    if window < 2:
+        raise ValueError("window must be at least 2 pixels")
+    if window > min(reference.shape):
+        raise ValueError(
+            f"window ({window}) larger than image ({reference.shape})"
+        )
+    # The summed-area table of every plane, built in place: row 0 and
+    # column 0 of ``padded`` stay zero.
+    height, width = reference.shape
+    padded = np.zeros((5 + len(extra), height + 1, width + 1))
+    table = padded[:, 1:, 1:]
+    table[0], table[1] = reference, candidate
+    np.multiply(reference, reference, out=table[2])
+    np.multiply(candidate, candidate, out=table[3])
+    np.multiply(reference, candidate, out=table[4])
+    if extra:
+        table[5:] = extra
+    np.cumsum(table, axis=1, out=table)
+    np.cumsum(table, axis=2, out=table)
+    sums = padded[:, window:, window:] - padded[:, :-window, window:]
+    sums -= padded[:, window:, :-window]
+    sums += padded[:, :-window, :-window]
+    return sums
 
 
 def uqi_map(original: Image, transformed: Image, window: int = 8) -> np.ndarray:
@@ -63,25 +89,9 @@ def uqi_map(original: Image, transformed: Image, window: int = 8) -> np.ndarray:
         Array of shape ``(H - window + 1, W - window + 1)`` with the local
         quality index of every window.
     """
-    if original.shape != transformed.shape:
-        raise ValueError(
-            f"image shapes differ: {original.shape} vs {transformed.shape}"
-        )
-    reference = original.to_grayscale().as_float()
-    candidate = transformed.to_grayscale().as_float()
-    if window < 2:
-        raise ValueError("window must be at least 2 pixels")
-    if window > min(reference.shape):
-        raise ValueError(
-            f"window ({window}) larger than image ({reference.shape})"
-        )
-
     n = float(window * window)
-    sum_x = _sliding_window_sums(reference, window)
-    sum_y = _sliding_window_sums(candidate, window)
-    sum_xx = _sliding_window_sums(reference * reference, window)
-    sum_yy = _sliding_window_sums(candidate * candidate, window)
-    sum_xy = _sliding_window_sums(reference * candidate, window)
+    sum_x, sum_y, sum_xx, sum_yy, sum_xy = _window_moments(
+        original, transformed, window)
 
     mean_x = sum_x / n
     mean_y = sum_y / n
@@ -132,25 +142,17 @@ def uqi_components_map(original: Image, transformed: Image, window: int = 8
     windows are flat the correlation and contrast are taken as 1; if exactly
     one is flat the correlation and contrast are 0 (all structure lost).
     """
-    if original.shape != transformed.shape:
-        raise ValueError(
-            f"image shapes differ: {original.shape} vs {transformed.shape}"
-        )
-    reference = original.to_grayscale().as_float()
-    candidate = transformed.to_grayscale().as_float()
-    if window < 2:
-        raise ValueError("window must be at least 2 pixels")
-    if window > min(reference.shape):
-        raise ValueError(
-            f"window ({window}) larger than image ({reference.shape})"
-        )
+    return _uqi_factors(_window_moments(original, transformed, window),
+                        window)[:3]
 
+
+def _uqi_factors(moments: np.ndarray, window: int) -> tuple[np.ndarray, ...]:
+    """``(correlation, luminance, contrast, var_x, var_y)`` per window.
+
+    ``moments`` starts with the five planes of :func:`_window_moments`.
+    """
     n = float(window * window)
-    sum_x = _sliding_window_sums(reference, window)
-    sum_y = _sliding_window_sums(candidate, window)
-    sum_xx = _sliding_window_sums(reference * reference, window)
-    sum_yy = _sliding_window_sums(candidate * candidate, window)
-    sum_xy = _sliding_window_sums(reference * candidate, window)
+    sum_x, sum_y, sum_xx, sum_yy, sum_xy = moments[:5]
 
     mean_x = sum_x / n
     mean_y = sum_y / n
@@ -183,7 +185,7 @@ def uqi_components_map(original: Image, transformed: Image, window: int = 8
     )
     contrast[one_flat] = 0.0
 
-    return correlation, luminance, contrast
+    return correlation, luminance, contrast, var_x, var_y
 
 
 def universal_quality_index(original: Image, transformed: Image,

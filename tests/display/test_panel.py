@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.suite import benchmark_images
 from repro.display.panel import (
     LP064V1_PANEL,
     PanelModel,
@@ -95,6 +96,18 @@ class TestPanelPower:
         dark = Image.constant(10, shape=(8, 8))
         bright = Image.constant(245, shape=(8, 8))
         assert LP064V1_PANEL.frame_power(dark) > LP064V1_PANEL.frame_power(bright)
+
+    @pytest.mark.parametrize("name", tuple(benchmark_images()))
+    def test_frame_power_independent_of_memory_layout(self, name):
+        """A photo and its Fortran-ordered copy draw exactly the same power.
+
+        The wire delivers C-ordered pixels while generators may produce
+        Fortran-ordered ones; both must account to the same bits.
+        """
+        pixels = benchmark_images(names=(name,))[name].pixels
+        fortran = LP064V1_PANEL.frame_power(Image(np.asfortranarray(pixels)))
+        c_order = LP064V1_PANEL.frame_power(Image(np.ascontiguousarray(pixels)))
+        assert fortran == c_order == LP064V1_PANEL.frame_power(Image(pixels))
 
     def test_power_vs_transmittance_uses_inverse_map(self):
         value = LP064V1_PANEL.power_vs_transmittance(0.5)
