@@ -34,17 +34,14 @@ Three claims of the ``repro.cluster`` layer, measured on one box:
 
 Outputs through the router are checked **bit-identical** against a
 direct shard connection and the in-process engine.  Measurements are
-emitted as ``BENCH_cluster.json`` (override with the
+emitted as ``build/BENCH_cluster.json`` (override with the
 ``BENCH_CLUSTER_JSON`` environment variable) alongside the serving,
 sessions, and network artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +165,7 @@ def drive_scale_point(router: ClusterRouter, frames: list[Image],
 
 
 @pytest.mark.paper_experiment("cluster")
-def test_cluster_scaling_affinity_failover_and_parity(pipeline):
+def test_cluster_scaling_affinity_failover_and_parity(pipeline, bench_json):
     # ---------------------------------------------------------------- #
     # scaling: the balanced corpus is sampled against the 4-shard ring,
     # then the same frames drive the 4-shard and 1-shard points
@@ -292,9 +289,7 @@ def test_cluster_scaling_affinity_failover_and_parity(pipeline):
             "consistent_hash_expected_fraction": 0.25,
         },
     }
-    destination = Path(os.environ.get("BENCH_CLUSTER_JSON",
-                                      "BENCH_cluster.json"))
-    destination.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_json("cluster", payload)
 
     # gate 1 — shard scaling through the router
     assert speedup >= 3.0, (

@@ -9,7 +9,7 @@ with **bit-identical** outputs.  The solve path moves O(histogram) bytes
 and replays a cached solution; the process path moves O(pixels) each way
 and pays the server-side apply plus distortion/power accounting.
 
-Measured throughput and latency are emitted as ``BENCH_network.json``
+Measured throughput and latency are emitted as ``build/BENCH_network.json``
 (override the location with the ``BENCH_NETWORK_JSON`` environment
 variable) so CI accumulates a perf trajectory next to
 ``BENCH_serving.json`` and ``BENCH_sessions.json``.
@@ -17,10 +17,7 @@ variable) so CI accumulates a perf trajectory next to
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,23 +38,8 @@ FEED_FRAMES = 150
 FEED_ROUNDS = 2
 
 
-def _merge_bench(section: dict) -> None:
-    """Merge ``section`` into BENCH_network.json, preserving the other
-    benchmark's keys whichever test runs (or fails) first."""
-    destination = Path(os.environ.get("BENCH_NETWORK_JSON",
-                                      "BENCH_network.json"))
-    payload = {}
-    if destination.exists():
-        try:
-            payload = json.loads(destination.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = {}
-    payload.update(section)
-    destination.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 @pytest.mark.paper_experiment("network")
-def test_solve_rpc_at_least_2x_process_rpc(pipeline):
+def test_solve_rpc_at_least_2x_process_rpc(pipeline, bench_json):
     workload = repeated_workload(repeats=WORKLOAD_REPEATS)
 
     server = Server(engine=Engine(HEBSAlgorithm(pipeline)), workers=4,
@@ -108,7 +90,7 @@ def test_solve_rpc_at_least_2x_process_rpc(pipeline):
         "process_rpc_mean_latency_ms": round(
             1e3 * process_seconds / len(workload), 3),
     }
-    _merge_bench(payload)
+    bench_json("network", payload)
 
     # the histogram-only path must reproduce the full-image path bitwise:
     # same output pixels, same programmed backlight, request by request
@@ -123,7 +105,8 @@ def test_solve_rpc_at_least_2x_process_rpc(pipeline):
 
 @pytest.mark.paper_experiment("network")
 def test_protocol_v2_shrinks_the_wire_without_costing_latency(pipeline,
-                                                              suite):
+                                                              suite,
+                                                              bench_json):
     """The protocol v2 acceptance gates, measured per lane on one server:
 
     * ``process`` and ``feed`` bytes-on-wire at least 3x smaller on v2
@@ -192,7 +175,7 @@ def test_protocol_v2_shrinks_the_wire_without_costing_latency(pipeline,
                          if key not in ("result", "outcomes")}
                   for name, metrics in lanes.items()},
     }}
-    _merge_bench(section)
+    bench_json("network", section)
 
     if "shm" in lanes:
         assert lanes["shm"]["shm"], "same-host shm lane failed to negotiate"

@@ -19,17 +19,14 @@ Three claims of PR 9's ``repro.display.oled`` subsystem, measured:
    ``(frame, algorithm)`` pair and none on a re-drive: instance-led cache
    keys keep the display classes from ever sharing a solution.
 
-Measurements are emitted as ``BENCH_oled.json`` (override the location
+Measurements are emitted as ``build/BENCH_oled.json`` (override the location
 with the ``BENCH_OLED_JSON`` environment variable) alongside the serving,
 sessions, network, and cluster artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,22 +48,9 @@ MIXED_FRAMES = 8
 MIXED_ALGORITHMS = ("hebs", "oled-darken")
 
 
-def _merge_bench(section: dict) -> None:
-    """Merge ``section`` into BENCH_oled.json, preserving the other
-    benchmark's keys whichever test runs (or fails) first."""
-    destination = Path(os.environ.get("BENCH_OLED_JSON", "BENCH_oled.json"))
-    payload = {}
-    if destination.exists():
-        try:
-            payload = json.loads(destination.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = {}
-    payload.update(section)
-    destination.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 @pytest.mark.paper_experiment("oled")
-def test_oled_power_reduction_within_budget_on_every_image(suite):
+def test_oled_power_reduction_within_budget_on_every_image(suite,
+                                                           bench_json):
     sections = {}
     for name in ("oled-darken", "oled-darken-clipped"):
         engine = Engine(name)
@@ -97,7 +81,7 @@ def test_oled_power_reduction_within_budget_on_every_image(suite):
 
     # write the perf artifact before any assertion: the run that fails
     # the gate is exactly the run whose numbers need diagnosing
-    _merge_bench({"benchmark": "oled", "power": sections})
+    bench_json("oled", {"benchmark": "oled", "power": sections})
 
     print()
     for name, section in sections.items():
@@ -114,7 +98,8 @@ def test_oled_power_reduction_within_budget_on_every_image(suite):
 
 
 @pytest.mark.paper_experiment("oled")
-def test_oled_outputs_bit_identical_across_the_serving_stack(suite):
+def test_oled_outputs_bit_identical_across_the_serving_stack(suite,
+                                                             bench_json):
     frames = [suite[name] for name in ("lena", "baboon", "pout", "testpat")]
     reference = Engine("oled-darken")
     expected = [reference.process(frame, BUDGET) for frame in frames]
@@ -163,7 +148,7 @@ def test_oled_outputs_bit_identical_across_the_serving_stack(suite):
         for shard in shards:
             shard.close()
 
-    _merge_bench({"parity": lanes})
+    bench_json("oled", {"parity": lanes})
     print()
     for lane, section in lanes.items():
         print(f"{lane}: bit_identical={section['bit_identical']}")
@@ -172,7 +157,7 @@ def test_oled_outputs_bit_identical_across_the_serving_stack(suite):
 
 
 @pytest.mark.paper_experiment("oled")
-def test_mixed_cluster_has_zero_cross_class_cache_leakage():
+def test_mixed_cluster_has_zero_cross_class_cache_leakage(bench_json):
     # every frame appears twice in a row, and the algorithm list cycles
     # with period 2, so each distinct frame drives BOTH display classes
     rng = np.random.default_rng(20050307)
@@ -223,7 +208,7 @@ def test_mixed_cluster_has_zero_cross_class_cache_leakage():
         "cluster_hits": hits,
         "routed_shards": len(stats["cluster"]["routed"]),
     }
-    _merge_bench({"mixed_cluster": section})
+    bench_json("oled", {"mixed_cluster": section})
     print(f"\nmixed cluster: {section['requests']} requests, "
           f"{misses} misses for {distinct_pairs} distinct "
           f"(frame, algorithm) pairs, {hits} hits")

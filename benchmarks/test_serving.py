@@ -7,9 +7,9 @@ histogram per tick, not N solves.  The benchmark times the serial baseline
 and no coalescing — the pre-serving calling convention) against the same
 workload submitted concurrently to a :class:`~repro.serve.Server`, asserts
 the coalesced path is at least 2x faster with bitwise-identical outputs,
-and emits the measured throughput / p99 latency as ``BENCH_serving.json``
-so CI accumulates a perf trajectory (override the location with the
-``BENCH_SERVING_JSON`` environment variable).
+and emits the measured throughput / p99 latency as
+``build/BENCH_serving.json`` so CI accumulates a perf trajectory (override
+the location with the ``BENCH_SERVING_JSON`` environment variable).
 
 ``hebs-adaptive`` is used for the timed run: its per-image bisection makes
 the solve strongly dominate the LUT apply, which is the regime the serving
@@ -18,10 +18,7 @@ layer exists for (and where a regression in the coalescer is most visible).
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +34,7 @@ BUDGET = 10.0
 
 
 @pytest.mark.paper_experiment("serving")
-def test_coalescer_beats_serial_process_calls(pipeline):
+def test_coalescer_beats_serial_process_calls(pipeline, bench_json):
     workload = repeated_workload(repeats=WORKLOAD_REPEATS)
 
     # serial baseline: N independent process calls, nothing shared
@@ -77,9 +74,7 @@ def test_coalescer_beats_serial_process_calls(pipeline):
         "cache_hit_rate": round(stats.cache.hit_rate, 4),
         "cache_reuse_rate": round(stats.cache.reuse_rate, 4),
     }
-    destination = Path(os.environ.get("BENCH_SERVING_JSON",
-                                      "BENCH_serving.json"))
-    destination.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_json("serving", payload)
 
     # bitwise-identical outputs, request by request
     for expected, actual in zip(serial, served):

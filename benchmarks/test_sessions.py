@@ -9,7 +9,7 @@ one after another (the pre-session calling convention: one engine stream at
 a time, nothing shared).  The benchmark asserts the served path is at least
 2x faster with every session's applied backlight honoring its smoother's
 ``max_step`` on every frame, and emits the measured multi-stream throughput
-and per-session p95 frame latency as ``BENCH_sessions.json`` so CI
+and per-session p95 frame latency as ``build/BENCH_sessions.json`` so CI
 accumulates a perf trajectory (override the location with the
 ``BENCH_SESSIONS_JSON`` environment variable).
 
@@ -20,9 +20,6 @@ layer exists for.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +44,8 @@ def _session_clips(suite) -> list[list]:
 
 
 @pytest.mark.paper_experiment("sessions")
-def test_concurrent_sessions_beat_serial_sessions(pipeline, suite):
+def test_concurrent_sessions_beat_serial_sessions(pipeline, suite,
+                                                  bench_json):
     clips = _session_clips(suite)
     fresh_smoother = lambda index: {                     # noqa: E731
         "smoother": BacklightSmoother(max_step=MAX_STEP)}
@@ -96,9 +94,7 @@ def test_concurrent_sessions_beat_serial_sessions(pipeline, suite):
         "cache_reuse_rate": round(stats.cache.reuse_rate, 4),
         "session_frames": stats.session_frames,
     }
-    destination = Path(os.environ.get("BENCH_SESSIONS_JSON",
-                                      "BENCH_sessions.json"))
-    destination.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_json("sessions", payload)
 
     assert report.errors == 0
     assert len(report.traces) == SESSIONS

@@ -22,15 +22,20 @@ speaking the wire protocol of :mod:`repro.serve.protocol` to a
     :class:`AsyncClient` multiplexes concurrent ``await``-ers the same
     way without a dedicated context).
 
+    A sync lockstep call is a pipeline of depth 1 (inside an open batch
+    it joins the batch); both clients run on the sans-IO RPC core of
+    :mod:`repro.client.core`.
+
     Connections negotiate the newest shared protocol generation
     (binary zero-copy v2 frames against this build's servers, v1 JSON
     against older ones — see :attr:`Client.protocol_version`), and
     ``Client(shm=True)`` offers the same-host shared-memory lane of
-    :mod:`repro.serve.shm` for image payloads.
+    :mod:`repro.serve.shm` for the image payloads of lockstep calls.
 
-    Lost connections reconnect with jittered exponential back-off
-    (:class:`Backoff` — a herd of clients dropped by the same restart
-    spreads out instead of returning in lockstep); a typed
+    A replayable call with nothing else in flight reconnects after a
+    lost connection with jittered exponential back-off (:class:`Backoff`
+    — a herd of clients dropped by the same restart spreads out instead
+    of returning in lockstep); a typed
     ``overloaded`` error honors the server's ``retry_after`` hint.  Error
     frames raise the same exception types as in-process calls
     (:class:`~repro.serve.coalescer.ServerOverloadedError` with its

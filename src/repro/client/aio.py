@@ -5,21 +5,26 @@
 (``solve`` / ``compensate`` / ``process`` / ``open_session`` / ``stats``),
 the same typed exceptions, the same reconnect-with-backoff and
 retry-after honoring — with every call awaitable, so one event loop can
-drive many concurrent clients (each with its own connection).
+drive many concurrent clients (each with its own connection).  Both
+clients run on the sans-IO core of :mod:`repro.client.core`: the same
+request builders and reply decoders, hello check, codec pick and retry
+policy; this module only moves the bytes.
 
 Concurrent calls on **one** :class:`AsyncClient` are multiplexed over a
 single connection: every request carries a fresh id, a background reader
 task routes each reply to its awaiting caller, and replies may arrive in
 server completion order.  This is the asyncio shape of
 :meth:`Client.pipeline <repro.client.sync.Client.pipeline>` — just
-``asyncio.gather`` the calls; no dedicated batch context is needed.
+``asyncio.gather`` the calls; no dedicated batch context is needed.  When
+the server closes the connection the reader drops it, so the next call
+reconnects at once.
 
 Like the sync client, the hello advertises ``max_version`` and the
 server's pick lands on :attr:`AsyncClient.protocol_version`: requests and
 responses travel as binary zero-copy v2 frames
 (:mod:`repro.serve.wire2`) against this build's servers and fall back to
-v1 JSON against older ones.  The same-host shared-memory lane is
-lockstep-only and stays on the sync client.
+v1 JSON against older ones.  The same-host shared-memory lane carries
+only sync lockstep calls and stays on the sync client.
 """
 
 from __future__ import annotations
@@ -33,69 +38,37 @@ from repro.api.types import (
     CompensationSolution,
     StreamFrameResult,
 )
-from repro.api.session import SessionClosedError
 from repro.core.histogram import Histogram
 from repro.imaging.image import Image
 from repro.serve import protocol, wire2
 from repro.serve.coalescer import ServerOverloadedError
 from repro.serve.net import DEFAULT_PORT
 from repro.serve.stats import ServerStats
-from repro.client.backoff import Backoff
-from repro.client.sync import LocalCompensation, parse_address
+from repro.client import core
+from repro.client.core import Call, ClientBase, SessionBase
+from repro.client.sync import LocalCompensation
 
 __all__ = ["AsyncClient", "AsyncRemoteSession"]
 
 
-class AsyncRemoteSession:
+class AsyncRemoteSession(SessionBase):
     """Asyncio counterpart of :class:`repro.client.sync.RemoteSession`:
     the push-based stream surface with ``await``-able frame submission.
     Use ``async with`` for deterministic close."""
 
-    def __init__(self, client: "AsyncClient", session_id: str,
-                 max_distortion: float) -> None:
-        self._client = client
-        self._id = session_id
-        self._max_distortion = float(max_distortion)
-        self._closed = False
-
-    @property
-    def id(self) -> str:
-        return self._id
-
-    @property
-    def max_distortion(self) -> float:
-        return self._max_distortion
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     async def submit(self, frame: Image) -> StreamFrameResult:
         """Push one frame; resolves to its
         :class:`~repro.api.types.StreamFrameResult`."""
-        if self._closed:
-            raise SessionClosedError(
-                f"remote session {self._id} has been closed")
-        response = await self._client._request(
-            lambda request_id, binary: protocol.feed_request(
-                request_id, self._id, frame, binary=binary),
-            expected="frame", reconnect=False)
-        wire = response["outcome"]
-        original = (None if "original" in wire.get("result", {})
-                    else frame.to_grayscale())
-        return protocol.stream_frame_from_wire(wire, original=original)
+        return await self._client._call(self._feed(frame))
 
     async def close(self) -> None:
         """Close the remote session (idempotent, best-effort on a dead
         connection)."""
-        if self._closed:
+        call = self._close()
+        if call is None:
             return
-        self._closed = True
         try:
-            await self._client._request(
-                lambda request_id, binary: protocol.close_session_request(
-                    request_id, self._id),
-                expected="session_closed", reconnect=False)
+            await self._client._call(call)
         except (ConnectionError, OSError):
             pass
 
@@ -106,7 +79,7 @@ class AsyncRemoteSession:
         await self.close()
 
 
-class AsyncClient:
+class AsyncClient(ClientBase):
     """Asyncio client for a :class:`~repro.serve.net.NetworkServer`.
 
     Same parameters and retry policy as
@@ -128,40 +101,17 @@ class AsyncClient:
                  jitter: float = 0.5, rng=None,
                  retry_overloaded: bool = True,
                  max_version: int = protocol.PROTOCOL_VERSION) -> None:
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if not protocol.PROTOCOL_V1 <= int(max_version) <= protocol.PROTOCOL_VERSION:
-            raise ValueError(
-                f"max_version must be within [{protocol.PROTOCOL_V1}, "
-                f"{protocol.PROTOCOL_VERSION}], got {max_version}")
-        self.host = host
-        self.port = int(port)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.max_backoff = float(max_backoff)
-        self.retry_overloaded = bool(retry_overloaded)
-        self.max_version = int(max_version)
-        self.protocol_version: int | None = None
-        self._backoff = Backoff(backoff, max_backoff, jitter=jitter, rng=rng)
+        super().__init__(host, port, timeout=timeout, retries=retries,
+                         backoff=backoff, max_backoff=max_backoff,
+                         jitter=jitter, rng=rng,
+                         retry_overloaded=retry_overloaded,
+                         max_version=max_version)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
         self._pending: dict[int, asyncio.Future] = {}
         self._conn_lock = asyncio.Lock()
         self._write_lock = asyncio.Lock()
-        self._next_id = 0
-
-    def __repr__(self) -> str:
-        state = (f"protocol v{self.protocol_version}"
-                 if self.protocol_version is not None else "disconnected")
-        return f"AsyncClient({self.host}:{self.port}, {state})"
-
-    @classmethod
-    def at(cls, address: str, **options) -> "AsyncClient":
-        """Build a client from a ``"host:port"`` string."""
-        host, port = parse_address(address)
-        return cls(host=host, port=port, **options)
 
     # ------------------------------------------------------------------ #
     # the Engine-facade mirror
@@ -170,11 +120,7 @@ class AsyncClient:
                     algorithm: str | None = None) -> CompensationSolution:
         """Histogram-only solve (see
         :meth:`Client.solve <repro.client.sync.Client.solve>`)."""
-        response = await self._request(
-            lambda request_id, binary: protocol.solve_request(
-                request_id, source, max_distortion, algorithm=algorithm),
-            expected="solution")
-        return protocol.solution_from_wire(response["solution"])
+        return await self._call(core.solve(source, max_distortion, algorithm))
 
     async def compensate(self, image: Image, max_distortion: float,
                          algorithm: str | None = None) -> LocalCompensation:
@@ -190,43 +136,23 @@ class AsyncClient:
                       algorithm: str | None = None) -> CompensationResult:
         """Full-image request (see
         :meth:`Client.process <repro.client.sync.Client.process>`)."""
-        routing = protocol.routing_key(image)
-        response = await self._request(
-            lambda request_id, binary: protocol.process_request(
-                request_id, image, max_distortion, algorithm=algorithm,
-                routing=routing, binary=binary),
-            expected="result")
-        wire = response["result"]
-        # a v2 response omits the original image — it is the grayscale
-        # rendition of the request image, rebuilt here bit-exactly
-        original = None if "original" in wire else image.to_grayscale()
-        return protocol.result_from_wire(wire, original=original)
+        return await self._call(core.process(image, max_distortion, algorithm))
 
     async def open_session(self, max_distortion: float,
                            algorithm: str | None = None,
                            **options: Any) -> AsyncRemoteSession:
         """Open a push-based stream session on the server."""
-        response = await self._request(
-            lambda request_id, binary: protocol.open_session_request(
-                request_id, max_distortion, algorithm=algorithm,
-                options=options),
-            expected="session")
-        return AsyncRemoteSession(self, str(response["session_id"]),
-                                  float(max_distortion))
+        session_id = await self._call(
+            core.open_session(max_distortion, algorithm, options))
+        return AsyncRemoteSession(self, session_id, float(max_distortion))
 
     async def stats(self) -> ServerStats:
         """The server's live statistics snapshot."""
-        response = await self._request(
-            lambda request_id, binary: protocol.stats_request(request_id),
-            expected="stats")
-        return protocol.server_stats_from_wire(response["stats"])
+        return await self._call(core.stats())
 
     async def stats_dict(self) -> Mapping[str, Any]:
         """The raw JSON payload of the ``stats`` RPC."""
-        response = await self._request(
-            lambda request_id, binary: protocol.stats_request(request_id),
-            expected="stats")
-        return response["stats"]
+        return await self._call(core.stats_dict())
 
     # ------------------------------------------------------------------ #
     # connection plumbing
@@ -248,34 +174,22 @@ class AsyncClient:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port), self.timeout)
             try:
-                writer.write(protocol.encode_frame(
-                    protocol.hello_frame(max_version=self.max_version)))
+                writer.write(self._hello())
                 await writer.drain()
-                hello = await asyncio.wait_for(
-                    self._read_message(reader), self.timeout)
-                if hello.get("type") == "error":
-                    raise protocol.exception_from_error(hello)
-                version = hello.get("version")
-                if (hello.get("type") != "hello"
-                        or not isinstance(version, int)
-                        or not (protocol.PROTOCOL_V1 <= version
-                                <= self.max_version)):
-                    raise protocol.ProtocolError(
-                        f"server answered the handshake with "
-                        f"{hello.get('type')!r} v{version!r}")
+                version = self._check_hello(await asyncio.wait_for(
+                    self._read_message(reader), self.timeout))
             except BaseException:
                 writer.close()
                 raise
             self._reader, self._writer = reader, writer
-            self.protocol_version = int(version)
+            self.protocol_version = version
             self._reader_task = asyncio.create_task(self._read_loop(reader))
 
     async def close(self) -> None:
         """Drop the connection (idempotent).  Every in-flight request
         fails with :class:`ConnectionError`."""
         task, self._reader_task = self._reader_task, None
-        writer, self._reader, self._writer = self._writer, None, None
-        self.protocol_version = None
+        writer = self._drop_connection()
         if task is not None:
             task.cancel()
             with contextlib.suppress(BaseException):
@@ -298,6 +212,42 @@ class AsyncClient:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    async def _call(self, call: Call) -> Any:
+        """One multiplexed call with the shared retry policy
+        (:meth:`~repro.client.core.ClientBase._retry_delay`); every
+        attempt takes a fresh request id and re-encodes for whatever
+        protocol version the connection negotiated."""
+        attempt = 0
+        while True:
+            try:
+                return call.reply(await self._exchange(call))
+            except ServerOverloadedError as exc:
+                delay = self._retry_delay(exc, attempt, call.replayable)
+            except (OSError, EOFError, asyncio.TimeoutError) as exc:
+                await self.close()
+                delay = self._retry_delay(ConnectionError(
+                    f"lost connection to {self.host}:{self.port} "
+                    f"({exc!r})"), attempt, call.replayable)
+            await asyncio.sleep(delay)
+            attempt += 1
+
+    async def _exchange(self, call: Call) -> dict:
+        """Send ``call`` on the shared connection and await its reply."""
+        await self.connect()
+        writer = self._writer
+        if writer is None:   # raced with a concurrent close()
+            raise ConnectionError("the connection was closed")
+        request_id, frame = self._frame(call)
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = future
+        try:
+            async with self._write_lock:
+                writer.write(frame)
+                await writer.drain()
+            return await asyncio.wait_for(future, self.timeout)
+        finally:
+            self._pending.pop(request_id, None)
+
     async def _read_message(self, reader: asyncio.StreamReader) -> dict:
         header = await reader.readexactly(protocol.HEADER_BYTES)
         payload = await reader.readexactly(protocol.frame_length(header))
@@ -322,7 +272,19 @@ class AsyncClient:
             raise
         except (ConnectionError, OSError, EOFError,
                 asyncio.IncompleteReadError, protocol.ProtocolError) as exc:
+            # the stream is gone or out of frame: drop it, so the next
+            # call reconnects instead of writing into a dead socket
+            if self._reader is reader:
+                self._reader_task = None
+                writer = self._drop_connection()
+                if writer is not None:
+                    writer.close()
             self._fail_pending(exc)
+
+    def _drop_connection(self) -> asyncio.StreamWriter | None:
+        writer, self._reader, self._writer = self._writer, None, None
+        self.protocol_version = None
+        return writer
 
     def _fail_pending(self, exc: BaseException) -> None:
         pending, self._pending = self._pending, {}
@@ -330,65 +292,3 @@ class AsyncClient:
             if not future.done():
                 future.set_exception(ConnectionError(
                     f"lost connection to {self.host}:{self.port} ({exc})"))
-
-    def _encode(self, message: dict) -> bytes:
-        if (self.protocol_version or protocol.PROTOCOL_V1) >= 2:
-            return wire2.encode_frame(message)
-        return protocol.encode_frame(message)
-
-    async def _request(self, build, expected: str,
-                       reconnect: bool = True) -> dict:
-        """One multiplexed request/response round trip (same retry policy
-        as the sync client).  ``build`` is called with a fresh request id
-        and the negotiated codec's ``binary`` flag on every attempt, so a
-        retry after a reconnect re-encodes for the new connection's
-        protocol version."""
-        attempt = 0
-        while True:
-            try:
-                await self.connect()
-                writer = self._writer
-                if writer is None:   # raced with a concurrent close()
-                    raise ConnectionError("the connection was closed")
-                self._next_id += 1
-                request_id = self._next_id
-                message = build(request_id,
-                                (self.protocol_version or 1) >= 2)
-                frame = self._encode(message)
-                future = asyncio.get_running_loop().create_future()
-                self._pending[request_id] = future
-                try:
-                    async with self._write_lock:
-                        writer.write(frame)
-                        await writer.drain()
-                    response = await asyncio.wait_for(future, self.timeout)
-                finally:
-                    self._pending.pop(request_id, None)
-            except (ConnectionError, OSError, EOFError,
-                    asyncio.IncompleteReadError,
-                    asyncio.TimeoutError) as exc:
-                await self.close()
-                if not reconnect or attempt >= self.retries:
-                    raise ConnectionError(
-                        f"lost connection to {self.host}:{self.port} "
-                        f"({exc!r})") from exc
-                await asyncio.sleep(self._backoff.delay(attempt))
-                attempt += 1
-                continue
-            if response.get("type") == "error":
-                error = protocol.exception_from_error(response)
-                if (isinstance(error, ServerOverloadedError)
-                        and self.retry_overloaded
-                        and attempt < self.retries):
-                    delay = error.retry_after_seconds
-                    if delay is None:
-                        delay = self.backoff
-                    await asyncio.sleep(min(delay, self.max_backoff))
-                    attempt += 1
-                    continue
-                raise error
-            if response.get("type") != expected:
-                raise protocol.ProtocolError(
-                    f"expected a {expected!r} response, got "
-                    f"{response.get('type')!r}")
-            return response

@@ -8,11 +8,19 @@ application and accounting, and :meth:`Client.open_session` opens a
 push-based :class:`RemoteSession` matching the
 :class:`~repro.api.session.StreamSession` surface.
 
+**One request path.**  Every call goes through a :class:`ClientPipeline`:
+:meth:`Client.pipeline` keeps many requests in flight on one socket, and
+a lockstep call is a pipeline of depth 1 — or joins the pipeline that is
+open.  Requests are built and replies decoded by the sans-IO table of
+:mod:`repro.client.core`, shared with :class:`~repro.client.aio.AsyncClient`.
+
 Connection care is built in: the client connects lazily, performs the
-protocol handshake, and on a lost connection reconnects with exponential
-back-off and retries the (idempotent) request.  A typed ``overloaded``
-error honors the server's ``retry_after`` hint before retrying; the other
-error frames raise the same exception types in-process callers see
+protocol handshake, and when a lockstep call has nothing else in flight
+it reconnects after a lost connection with exponential back-off and
+retries the request if it is replayable (session traffic is not).  A
+typed ``overloaded`` error honors the server's ``retry_after`` hint
+before retrying; the other error frames raise the same exception types
+in-process callers see
 (:class:`~repro.serve.coalescer.ServerOverloadedError`,
 :class:`~repro.serve.coalescer.ServerClosedError`,
 :class:`~repro.api.session.SessionClosedError`, :class:`ValueError`).
@@ -21,15 +29,13 @@ error frames raise the same exception types in-process callers see
 records the server's pick as :attr:`Client.protocol_version` (also shown
 in ``repr``).  On a v2 connection requests and responses travel as binary
 zero-copy frames (:mod:`repro.serve.wire2`); against an older server the
-same client falls back to v1 JSON transparently.  :meth:`Client.pipeline`
-opens a batch context with *multiple requests in flight per socket*,
-correlated by id; ``shm=True`` additionally offers the same-host
-shared-memory lane of :mod:`repro.serve.shm` for image payloads.
+same client falls back to v1 JSON transparently.  ``shm=True``
+additionally offers the same-host shared-memory lane of
+:mod:`repro.serve.shm` for the image payloads of lockstep calls.
 
-A :class:`Client` is **not** thread-safe — outside a pipeline it
-serializes one request at a time on one socket.  Use one client per
-thread (see :class:`repro.client.adapter.RemoteServerAdapter`) or the
-asyncio :class:`~repro.client.aio.AsyncClient`.
+A :class:`Client` is **not** thread-safe — use one client per thread
+(see :class:`repro.client.adapter.RemoteServerAdapter`) or the asyncio
+:class:`~repro.client.aio.AsyncClient`.
 """
 
 from __future__ import annotations
@@ -37,15 +43,15 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.api.types import (
     CompensationResult,
     CompensationSolution,
     StreamFrameResult,
 )
-from repro.api.session import SessionClosedError
-from repro.client.backoff import Backoff
+from repro.client import core
+from repro.client.core import Call, ClientBase, SessionBase, parse_address
 from repro.core.histogram import Histogram
 from repro.core.transforms import PixelTransform
 from repro.imaging.image import Image
@@ -57,43 +63,6 @@ from repro.serve.stats import ServerStats
 
 __all__ = ["Client", "ClientPipeline", "PendingReply", "RemoteSession",
            "LocalCompensation", "parse_address"]
-
-
-def parse_address(address: str, default_port: int = DEFAULT_PORT,
-                  ) -> tuple[str, int]:
-    """Split ``"host:port"`` (or bare ``"host"``) into ``(host, port)``.
-
-    IPv6 literals use the usual bracket form when they carry a port
-    (``"[::1]:7095"``); a bare multi-colon literal (``"::1"``) is taken as
-    a host with the default port.
-    """
-    text = address.strip()
-    if not text:
-        raise ValueError("address must not be empty")
-    if text.startswith("["):
-        host, bracket, rest = text[1:].partition("]")
-        if not bracket or not host:
-            raise ValueError(f"unclosed IPv6 bracket in address {address!r}")
-        if not rest:
-            return host, default_port
-        if not rest.startswith(":"):
-            raise ValueError(f"malformed address {address!r}")
-        return host, _parse_port(rest[1:], address)
-    if text.count(":") == 1:
-        host, _, port_text = text.partition(":")
-        return host or "127.0.0.1", _parse_port(port_text, address)
-    # zero colons: bare hostname; several: a bare IPv6 literal, no port
-    return text, default_port
-
-
-def _parse_port(port_text: str, address: str) -> int:
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"invalid port in address {address!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range in address {address!r}")
-    return port
 
 
 @dataclass(frozen=True)
@@ -126,7 +95,8 @@ class LocalCompensation:
         return self.solution.transform
 
 
-class RemoteSession:
+
+class RemoteSession(SessionBase):
     """A server-side stream session driven over one client connection.
 
     Matches the push-based :class:`~repro.api.session.StreamSession`
@@ -141,26 +111,6 @@ class RemoteSession:
     auto-reconnect: they raise :class:`ConnectionError` instead.
     """
 
-    def __init__(self, client: "Client", session_id: str,
-                 max_distortion: float) -> None:
-        self._client = client
-        self._id = session_id
-        self._max_distortion = float(max_distortion)
-        self._closed = False
-
-    @property
-    def id(self) -> str:
-        """The server-assigned session identifier (the stats key)."""
-        return self._id
-
-    @property
-    def max_distortion(self) -> float:
-        return self._max_distortion
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def submit(self, frame: Image) -> StreamFrameResult:
         """Push one frame through the remote session and return its
         outcome.  Raises
@@ -168,29 +118,16 @@ class RemoteSession:
         and :class:`~repro.serve.coalescer.ServerOverloadedError` when the
         session's server-side frame queue is full (honoring ``retry_after``
         when the client retries overloads)."""
-        if self._closed:
-            raise SessionClosedError(
-                f"remote session {self._id} has been closed")
-        response = self._client._request(
-            lambda request_id, binary: self._client._build_feed(
-                request_id, self._id, frame, binary),
-            expected="frame", reconnect=False)
-        wire = response["outcome"]
-        original = (None if "original" in wire.get("result", {})
-                    else frame.to_grayscale())
-        return protocol.stream_frame_from_wire(wire, original=original)
+        return self._client._call(self._feed(frame))
 
     def close(self) -> None:
         """Close the remote session (idempotent, best-effort on a dead
         connection — the server also closes it on disconnect)."""
-        if self._closed:
+        call = self._close()
+        if call is None:
             return
-        self._closed = True
         try:
-            self._client._request(
-                lambda request_id, binary: protocol.close_session_request(
-                    request_id, self._id),
-                expected="session_closed", reconnect=False)
+            self._client._call(call)
         except (ConnectionError, OSError):
             pass    # the disconnect already closed it server-side
 
@@ -201,7 +138,7 @@ class RemoteSession:
         self.close()
 
 
-class Client:
+class Client(ClientBase):
     """Synchronous client for a :class:`~repro.serve.net.NetworkServer`.
 
     Parameters
@@ -242,7 +179,9 @@ class Client:
         travel by block reference instead of over the socket.  Requires
         a negotiated v2 connection; silently stays on the socket lane
         otherwise (including against a remote or pre-v2 server).  The
-        lane is lockstep-only: pipelined requests always use the socket.
+        lane carries only lockstep calls made with no pipeline open (its
+        one data block must not be overwritten under a request in
+        flight); everything else uses the socket.
 
     Attributes
     ----------
@@ -261,43 +200,20 @@ class Client:
                  retry_overloaded: bool = True,
                  max_version: int = protocol.PROTOCOL_VERSION,
                  shm: bool = False) -> None:
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if not protocol.PROTOCOL_V1 <= int(max_version) <= protocol.PROTOCOL_VERSION:
-            raise ValueError(
-                f"max_version must be within [{protocol.PROTOCOL_V1}, "
-                f"{protocol.PROTOCOL_VERSION}], got {max_version}")
-        self.host = host
-        self.port = int(port)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.max_backoff = float(max_backoff)
-        self.retry_overloaded = bool(retry_overloaded)
-        self.max_version = int(max_version)
-        self.protocol_version: int | None = None
+        super().__init__(host, port, timeout=timeout, retries=retries,
+                         backoff=backoff, max_backoff=max_backoff,
+                         jitter=jitter, rng=rng,
+                         retry_overloaded=retry_overloaded,
+                         max_version=max_version)
         self.bytes_sent = 0
         self.bytes_received = 0
         self._want_shm = bool(shm)
         self._shm: shm_lane.ShmLane | None = None
-        self._backoff = Backoff(backoff, max_backoff, jitter=jitter, rng=rng)
         self._sock: socket.socket | None = None
-        self._next_id = 0
         self._pipeline: "ClientPipeline | None" = None
 
-    def __repr__(self) -> str:
-        lane = (self.protocol_version is not None and self._shm is not None
-                and self._shm.active)
-        state = (f"protocol v{self.protocol_version}"
-                 f"{' +shm' if lane else ''}"
-                 if self.protocol_version is not None else "disconnected")
-        return f"Client({self.host}:{self.port}, {state})"
-
-    @classmethod
-    def at(cls, address: str, **options) -> "Client":
-        """Build a client from a ``"host:port"`` string."""
-        host, port = parse_address(address)
-        return cls(host=host, port=port, **options)
+    def _lane_note(self) -> str:
+        return " +shm" if self._shm is not None and self._shm.active else ""
 
     # ------------------------------------------------------------------ #
     # the Engine-facade mirror
@@ -308,11 +224,7 @@ class Client:
         image-independent solution (transformation, backlight factor,
         driver program) to apply locally.  Mirrors
         :meth:`Engine.solve <repro.api.engine.Engine.solve>`."""
-        response = self._request(
-            lambda request_id, binary: protocol.solve_request(
-                request_id, source, max_distortion, algorithm=algorithm),
-            expected="solution")
-        return protocol.solution_from_wire(response["solution"])
+        return self._call(core.solve(source, max_distortion, algorithm))
 
     def compensate(self, image: Image, max_distortion: float,
                    algorithm: str | None = None) -> LocalCompensation:
@@ -341,13 +253,7 @@ class Client:
         :func:`~repro.serve.protocol.routing_key`, so a cluster router
         places it on the shard whose cache holds its solution without
         decoding the pixels."""
-        routing = protocol.routing_key(image)
-        response = self._request(
-            lambda request_id, binary: self._build_process(
-                request_id, image, max_distortion, algorithm, routing,
-                binary),
-            expected="result")
-        return self._decode_result(response["result"], image)
+        return self._call(core.process(image, max_distortion, algorithm))
 
     def open_session(self, max_distortion: float,
                      algorithm: str | None = None,
@@ -357,28 +263,18 @@ class Client:
         :meth:`Engine.open_session <repro.api.engine.Engine.open_session>`
         (``scene_gated_solve=``, ``snap_on_scene_change=``,
         ``stability_bins=``, ...)."""
-        response = self._request(
-            lambda request_id, binary: protocol.open_session_request(
-                request_id, max_distortion, algorithm=algorithm,
-                options=options),
-            expected="session")
-        return RemoteSession(self, str(response["session_id"]),
-                             float(max_distortion))
+        session_id = self._call(
+            core.open_session(max_distortion, algorithm, options))
+        return RemoteSession(self, session_id, float(max_distortion))
 
     def stats(self) -> ServerStats:
         """The server's live statistics snapshot."""
-        response = self._request(
-            lambda request_id, binary: protocol.stats_request(request_id),
-            expected="stats")
-        return protocol.server_stats_from_wire(response["stats"])
+        return self._call(core.stats())
 
     def stats_dict(self) -> Mapping[str, Any]:
         """The raw JSON payload of the ``stats`` RPC (the server's
         ``as_dict`` view, latencies in ms)."""
-        response = self._request(
-            lambda request_id, binary: protocol.stats_request(request_id),
-            expected="stats")
-        return response["stats"]
+        return self._call(core.stats_dict())
 
     def pipeline(self) -> "ClientPipeline":
         """Open a batch context with multiple requests in flight.
@@ -396,9 +292,10 @@ class Client:
             result = second.result()
 
         Pipelined requests are never retried or reconnected — a lost
-        connection fails every outstanding reply — and the lockstep
-        :meth:`solve`/:meth:`process`/:meth:`stats` calls are refused
-        while a pipeline is open.
+        connection fails every outstanding reply.  A lockstep
+        :meth:`solve`/:meth:`process`/:meth:`stats`/... call made while
+        the pipeline is open joins it and waits for its own reply, under
+        the same rules.
         """
         return ClientPipeline(self)
 
@@ -429,19 +326,9 @@ class Client:
                     and shm_lane.shm_available()):
                 lane = shm_lane.ShmLane()
                 offer = lane.offer()
-            self._send_bytes(sock, protocol.encode_frame(
-                protocol.hello_frame(max_version=self.max_version,
-                                     shm=offer)))
+            self._send_bytes(sock, self._hello(offer))
             hello = self._recv_frame(sock)
-            if hello.get("type") == "error":
-                raise protocol.exception_from_error(hello)
-            version = hello.get("version")
-            if (hello.get("type") != "hello"
-                    or not isinstance(version, int)
-                    or not protocol.PROTOCOL_V1 <= version <= self.max_version):
-                raise protocol.ProtocolError(
-                    f"server answered the handshake with "
-                    f"{hello.get('type')!r} v{version!r}")
+            version = self._check_hello(hello)
             if lane is not None:
                 lane.conclude(version >= 2 and bool(hello.get("shm")))
         except BaseException:
@@ -451,7 +338,7 @@ class Client:
             raise
         self._sock = sock
         self._shm = lane
-        self.protocol_version = int(version)
+        self.protocol_version = version
 
     def close(self) -> None:
         """Drop the connection (idempotent); the server closes any
@@ -476,6 +363,22 @@ class Client:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _call(self, call: Call) -> Any:
+        """One lockstep call: a depth-1 pipeline that waits for its reply,
+        with nothing else in flight, so it may use the shm lane and is
+        retried per :meth:`~repro.client.core.ClientBase._retry_delay`.
+        Inside an open pipeline it joins that pipeline instead."""
+        if self._pipeline is not None:
+            return self._pipeline._submit(call).result()
+        attempt = 0
+        while True:
+            try:
+                with ClientPipeline(self, lockstep=True) as batch:
+                    return batch._submit(call).result()
+            except (ConnectionError, ServerOverloadedError) as exc:
+                time.sleep(self._retry_delay(exc, attempt, call.replayable))
+            attempt += 1
+
     def _send_bytes(self, sock: socket.socket, frame: bytes) -> None:
         sock.sendall(frame)
         self.bytes_sent += len(frame)
@@ -492,105 +395,12 @@ class Client:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def _recv_payload(self, sock: socket.socket) -> bytes:
-        header = self._recv_exactly(sock, protocol.HEADER_BYTES)
-        return self._recv_exactly(sock, protocol.frame_length(header))
-
     def _recv_frame(self, sock: socket.socket) -> dict:
         # decode by sniff: a negotiated-v2 connection carries v2 binary
         # frames, but the hello (and any v1 fallback) is plain JSON
-        return wire2.decode_any(self._recv_payload(sock))[1]
-
-    def _encode(self, message: dict) -> bytes:
-        if (self.protocol_version or protocol.PROTOCOL_V1) >= 2:
-            return wire2.encode_frame(message)
-        return protocol.encode_frame(message)
-
-    def _build_process(self, request_id: int, image: Image,
-                       max_distortion: float, algorithm: str | None,
-                       routing: bytes | None, binary: bool) -> dict:
-        if binary and self._shm is not None and self._shm.active:
-            message = protocol.process_request(
-                request_id, image, max_distortion, algorithm=algorithm,
-                routing=routing)
-            message["image"] = {"shm": self._shm.send_image(image)}
-            return message
-        return protocol.process_request(request_id, image, max_distortion,
-                                        algorithm=algorithm, routing=routing,
-                                        binary=binary)
-
-    def _build_feed(self, request_id: int, session_id: str, frame: Image,
-                    binary: bool) -> dict:
-        if binary and self._shm is not None and self._shm.active:
-            return protocol.feed_request(request_id, session_id, frame,
-                                         shm=self._shm.send_image(frame))
-        return protocol.feed_request(request_id, session_id, frame,
-                                     binary=binary)
-
-    @staticmethod
-    def _decode_result(wire: Mapping[str, Any],
-                       image: Image) -> CompensationResult:
-        # a v2 response omits the original image — it is the grayscale
-        # rendition of the request image, rebuilt here bit-exactly
-        original = None if "original" in wire else image.to_grayscale()
-        return protocol.result_from_wire(wire, original=original)
-
-    def _request(self, build, expected: str, reconnect: bool = True) -> dict:
-        """One request/response round trip with the retry policy.
-
-        ``build`` is called with a fresh request id (and the negotiated
-        codec's ``binary`` flag) for every attempt, so a retried request
-        is distinguishable server-side and re-encodes correctly if a
-        reconnect landed on a different protocol version.  ``reconnect``
-        disables the reconnect-and-retry path for requests that are not
-        safe to replay on a new connection (session traffic — the state
-        died with the old socket).
-        """
-        if self._pipeline is not None:
-            raise RuntimeError(
-                "a pipeline is open on this client; finish the batch "
-                "before making lockstep calls")
-        attempt = 0
-        while True:
-            try:
-                self.connect()
-                assert self._sock is not None
-                self._next_id += 1
-                message = build(self._next_id,
-                                (self.protocol_version or 1) >= 2)
-                self._send_bytes(self._sock, self._encode(message))
-                response = self._recv_frame(self._sock)
-            except (ConnectionError, OSError, EOFError) as exc:
-                self.close()
-                if not reconnect or attempt >= self.retries:
-                    raise ConnectionError(
-                        f"lost connection to {self.host}:{self.port} "
-                        f"({exc})") from exc
-                time.sleep(self._backoff.delay(attempt))
-                attempt += 1
-                continue
-            if response.get("type") == "error":
-                error = protocol.exception_from_error(response)
-                if (isinstance(error, ServerOverloadedError)
-                        and self.retry_overloaded
-                        and attempt < self.retries):
-                    delay = error.retry_after_seconds
-                    if delay is None:
-                        delay = self.backoff
-                    time.sleep(min(delay, self.max_backoff))
-                    attempt += 1
-                    continue
-                raise error
-            if response.get("id") != message["id"]:
-                self.close()    # the stream is desynchronized; start clean
-                raise protocol.ProtocolError(
-                    f"response id {response.get('id')!r} does not match "
-                    f"request id {message['id']!r}")
-            if response.get("type") != expected:
-                raise protocol.ProtocolError(
-                    f"expected a {expected!r} response, got "
-                    f"{response.get('type')!r}")
-            return response
+        header = self._recv_exactly(sock, protocol.HEADER_BYTES)
+        payload = self._recv_exactly(sock, protocol.frame_length(header))
+        return wire2.decode_any(payload)[1]
 
 
 class PendingReply:
@@ -604,11 +414,10 @@ class PendingReply:
     """
 
     def __init__(self, batch: "ClientPipeline", request_id: int,
-                 expected: str, decode: Callable[[dict], Any]) -> None:
+                 call: Call) -> None:
         self._batch = batch
         self.request_id = int(request_id)
-        self._expected = expected
-        self._decode = decode
+        self._call = call
         self._outcome: tuple[str, Any] | None = None
 
     @property
@@ -630,70 +439,63 @@ class ClientPipeline:
     request id.  Replies are read lazily by :meth:`PendingReply.result`
     and drained completely when the context closes.
 
-    Pipelined traffic never retries or reconnects: a lost connection
-    fails every outstanding reply with :class:`ConnectionError`.  The
-    shared-memory lane is also bypassed (its data block is only safe
-    under lockstep traffic); pipelined image payloads use the socket.
+    Pipelined traffic never retries or reconnects: a lost (or never
+    made) connection fails every outstanding reply with
+    :class:`ConnectionError`, and so does a reply stream the client can
+    no longer frame.  Pipelined image payloads use the socket.
+
+    This is also how :class:`Client` runs its lockstep calls:
+    ``lockstep=True`` marks a depth-1 pipeline, which may use the
+    shared-memory lane and reports a lost connection as lockstep calls
+    do.
     """
 
-    def __init__(self, client: Client) -> None:
+    def __init__(self, client: Client, *, lockstep: bool = False) -> None:
         if client._pipeline is not None:
             raise RuntimeError("a pipeline is already open on this client")
-        client.connect()
         self._client = client
+        self._lockstep = lockstep
         self._pending: dict[int, PendingReply] = {}
         self._failure: ConnectionError | None = None
         self._closed = False
+        try:
+            client.connect()
+        except OSError as exc:
+            self._fail(exc)
         client._pipeline = self
 
     # -- request surface ---------------------------------------------- #
     def solve(self, source: Image | Histogram, max_distortion: float,
               algorithm: str | None = None) -> PendingReply:
         """Pipelined :meth:`Client.solve`."""
-        return self._submit(
-            lambda rid, binary: protocol.solve_request(
-                rid, source, max_distortion, algorithm=algorithm),
-            "solution",
-            lambda response: protocol.solution_from_wire(
-                response["solution"]))
+        return self._submit(core.solve(source, max_distortion, algorithm))
 
     def process(self, image: Image, max_distortion: float,
                 algorithm: str | None = None) -> PendingReply:
         """Pipelined :meth:`Client.process`."""
-        routing = protocol.routing_key(image)
-        return self._submit(
-            lambda rid, binary: protocol.process_request(
-                rid, image, max_distortion, algorithm=algorithm,
-                routing=routing, binary=binary),
-            "result",
-            lambda response: Client._decode_result(response["result"],
-                                                   image))
+        return self._submit(core.process(image, max_distortion, algorithm))
 
     def stats(self) -> PendingReply:
         """Pipelined :meth:`Client.stats`."""
-        return self._submit(
-            lambda rid, binary: protocol.stats_request(rid),
-            "stats",
-            lambda response: protocol.server_stats_from_wire(
-                response["stats"]))
+        return self._submit(core.stats())
 
     # -- plumbing ------------------------------------------------------ #
-    def _submit(self, build, expected: str, decode) -> PendingReply:
+    def _submit(self, call: Call) -> PendingReply:
         if self._closed:
             raise RuntimeError("this pipeline has been closed")
         if self._failure is not None:
             raise self._failure
         client = self._client
-        client._next_id += 1
-        request_id = client._next_id
-        message = build(request_id, (client.protocol_version or 1) >= 2)
+        lane = client._shm if self._lockstep else None
+        request_id, frame = client._frame(
+            call, lane if lane is not None and lane.active else None)
         try:
             assert client._sock is not None
-            client._send_bytes(client._sock, client._encode(message))
-        except (ConnectionError, OSError) as exc:
+            client._send_bytes(client._sock, frame)
+        except OSError as exc:
             self._fail(exc)
             raise self._failure from exc
-        reply = PendingReply(self, request_id, expected, decode)
+        reply = PendingReply(self, request_id, call)
         self._pending[request_id] = reply
         return reply
 
@@ -703,30 +505,31 @@ class ClientPipeline:
         try:
             assert client._sock is not None
             response = client._recv_frame(client._sock)
-        except (ConnectionError, OSError, EOFError,
-                protocol.ProtocolError) as exc:
+        except (OSError, EOFError, protocol.ProtocolError) as exc:
+            # the stream cannot be trusted past this point: start clean
             self._fail(exc)
             return
-        reply = self._pending.pop(response.get("id"), None)
+        request_id = response.get("id")
+        if request_id is None and response.get("type") == "error":
+            # a connection-level error frame addresses every request
+            error = protocol.exception_from_error(response)
+            for reply in self._pending.values():
+                reply._outcome = ("error", error)
+            self._pending.clear()
+            return
+        reply = self._pending.pop(request_id, None)
         if reply is None:
             return    # a stray frame; ignore and keep draining
-        if response.get("type") == "error":
-            reply._outcome = ("error",
-                              protocol.exception_from_error(response))
-        elif response.get("type") != reply._expected:
-            reply._outcome = ("error", protocol.ProtocolError(
-                f"expected a {reply._expected!r} response, got "
-                f"{response.get('type')!r}"))
-        else:
-            try:
-                reply._outcome = ("value", reply._decode(response))
-            except Exception as exc:   # noqa: BLE001 - surfaced on result()
-                reply._outcome = ("error", exc)
+        try:
+            reply._outcome = ("value", reply._call.reply(response))
+        except Exception as exc:   # noqa: BLE001 - surfaced on result()
+            reply._outcome = ("error", exc)
 
     def _fail(self, exc: BaseException) -> None:
+        where = f"{self._client.host}:{self._client.port}"
         self._failure = ConnectionError(
-            f"pipeline connection to {self._client.host}:"
-            f"{self._client.port} lost ({exc})")
+            f"lost connection to {where} ({exc})" if self._lockstep
+            else f"pipeline connection to {where} lost ({exc})")
         for reply in self._pending.values():
             reply._outcome = ("error", self._failure)
         self._pending.clear()

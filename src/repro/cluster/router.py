@@ -186,9 +186,8 @@ class ShardLink:
         link_id = next(self._ids)
         message = dict(message)
         message["id"] = link_id
-        frame = (wire2.encode_frame(message) if wire_version >= 2
-                 else protocol.encode_frame(message))
-        payload = await self._exchange(link_id, frame)
+        payload = await self._exchange(link_id,
+                                       wire2.encode_any(message, wire_version))
         return wire2.decode_any(payload)[1]
 
     async def forward(self, payload: bytes, *,

@@ -16,8 +16,9 @@ Modules
 * :mod:`~repro.core.pipeline` — the end-to-end HEBS flow of Fig. 4.
 * :mod:`~repro.core.color` — applying the pipeline to RGB images (Sec. 2's
   colour-LCD discussion).
-* :mod:`~repro.core.temporal` — flicker-free backlight control over frame
-  streams (smoothing, rolling histograms, scene-change detection).
+* :mod:`~repro.core.temporal` — the flicker-free building blocks of
+  frame-stream control (smoothing, rolling histograms, scene-change
+  detection) that :class:`~repro.api.session.StreamSession` drives.
 * :mod:`~repro.core.equalization_variants` — alternative equalization
   methods (clipped / bi-histogram), the paper's stated future work.
 """
@@ -55,8 +56,6 @@ from repro.core.temporal import (
     BacklightSmoother,
     RollingHistogram,
     SceneChangeDetector,
-    TemporalBacklightController,
-    TemporalFrameResult,
 )
 from repro.core.equalization_variants import (
     clipped_equalization,
@@ -95,8 +94,6 @@ __all__ = [
     "BacklightSmoother",
     "RollingHistogram",
     "SceneChangeDetector",
-    "TemporalBacklightController",
-    "TemporalFrameResult",
     "clipped_equalization",
     "bi_histogram_equalization",
     "available_equalizers",

@@ -1,4 +1,4 @@
-"""Temporal (video) backlight control on top of the per-frame HEBS pipeline.
+"""Temporal (video) building blocks for flicker-free backlight scaling.
 
 The paper evaluates stills; its predecessor DLS [4] targets video, where two
 extra concerns appear:
@@ -13,10 +13,9 @@ extra concerns appear:
   and re-used until a scene change; :class:`SceneChangeDetector` flags when
   the histogram moved enough that the transformation must be re-derived.
 
-:class:`TemporalBacklightController` glues the three pieces to a
-:class:`~repro.core.pipeline.HEBS` pipeline: feed it frames, get back
-per-frame results whose backlight factors are smooth and whose pixel
-transformations are only re-derived when the content actually changed.
+The stream controller that drives these pieces frame by frame is
+:class:`~repro.api.session.StreamSession` (``Engine.open_session``, or
+``Engine.process_stream`` for a finite clip).
 """
 
 from __future__ import annotations
@@ -26,15 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.histogram import Histogram
-from repro.core.pipeline import HEBS, HEBSResult
 from repro.imaging.image import Image
 
 __all__ = [
     "BacklightSmoother",
     "RollingHistogram",
     "SceneChangeDetector",
-    "TemporalBacklightController",
-    "TemporalFrameResult",
 ]
 
 
@@ -181,124 +177,3 @@ class SceneChangeDetector:
     def reset(self) -> None:
         """Forget the previous frame."""
         self._previous = None
-
-
-@dataclass(frozen=True)
-class TemporalFrameResult:
-    """Per-frame outcome of the temporal controller.
-
-    Attributes
-    ----------
-    result:
-        The HEBS result actually applied to the frame (derived at the
-        smoothed backlight factor's dynamic range).
-    requested_backlight:
-        The backlight factor the per-frame policy asked for before smoothing.
-    applied_backlight:
-        The smoothed, slew-limited factor actually programmed.
-    scene_change:
-        Whether this frame was detected as a scene change (transformation
-        re-derived from scratch).
-    """
-
-    result: HEBSResult
-    requested_backlight: float
-    applied_backlight: float
-    scene_change: bool
-
-
-class TemporalBacklightController:
-    """Drive a HEBS pipeline over a frame stream without flicker.
-
-    Parameters
-    ----------
-    pipeline:
-        The per-frame HEBS pipeline.
-    max_distortion:
-        Distortion budget applied to every frame.
-    smoother:
-        Backlight smoothing policy (defaults to 0.5 smoothing, 0.05 max step).
-    scene_detector:
-        Scene-change detector (defaults to an L1 threshold of 0.25).
-    adaptive:
-        Whether the per-frame range selection bisects on the measured
-        distortion (slower, tighter) or uses the characteristic curve.
-    """
-
-    def __init__(self, pipeline: HEBS, max_distortion: float,
-                 smoother: BacklightSmoother | None = None,
-                 scene_detector: SceneChangeDetector | None = None,
-                 adaptive: bool = True) -> None:
-        if max_distortion < 0:
-            raise ValueError("max_distortion must be non-negative")
-        self.pipeline = pipeline
-        self.max_distortion = float(max_distortion)
-        self.smoother = smoother or BacklightSmoother()
-        self.scene_detector = scene_detector or SceneChangeDetector()
-        self.adaptive = bool(adaptive)
-        self._history: list[TemporalFrameResult] = []
-
-    @property
-    def history(self) -> tuple[TemporalFrameResult, ...]:
-        """All frame results processed so far, in order."""
-        return tuple(self._history)
-
-    def submit(self, frame: Image) -> TemporalFrameResult:
-        """Process one frame and return the (smoothed) result."""
-        grayscale = frame.to_grayscale()
-        scene_change = self.scene_detector.observe(grayscale)
-
-        if self.adaptive:
-            raw = self.pipeline.process_adaptive(grayscale, self.max_distortion)
-        else:
-            raw = self.pipeline.process(grayscale, self.max_distortion)
-        requested = raw.backlight_factor
-
-        applied = self.smoother.update(requested)
-        # Re-derive the transformation for the dynamic range the *smoothed*
-        # factor supports.  When smoothing keeps the backlight brighter than
-        # requested the larger range only reduces distortion; when it keeps
-        # the backlight dimmer (slewing towards a brighter scene) the budget
-        # may transiently be exceeded — the flicker constraint wins, which is
-        # the whole point of smoothing.
-        levels = grayscale.levels
-        target_range = int(np.clip(round(applied * (levels - 1)), 1, levels - 1))
-        adjusted = self.pipeline.process_with_range(grayscale, target_range,
-                                                    max_distortion=self.max_distortion)
-
-        outcome = TemporalFrameResult(
-            result=adjusted,
-            requested_backlight=requested,
-            applied_backlight=adjusted.backlight_factor,
-            scene_change=scene_change,
-        )
-        self._history.append(outcome)
-        return outcome
-
-    def backlight_trace(self) -> np.ndarray:
-        """The applied backlight factor of every processed frame."""
-        return np.array([frame.applied_backlight for frame in self._history])
-
-    def worst_step(self) -> float:
-        """Largest frame-to-frame change of the applied backlight factor."""
-        trace = self.backlight_trace()
-        if trace.size < 2:
-            return 0.0
-        return float(np.abs(np.diff(trace)).max())
-
-    def energy(self, seconds_per_frame: float = 1.0 / 30.0) -> float:
-        """Total display energy of the processed stream (normalized units)."""
-        return float(sum(frame.result.power.total for frame in self._history)
-                     * seconds_per_frame)
-
-    def reference_energy(self, seconds_per_frame: float = 1.0 / 30.0) -> float:
-        """Energy of the same stream at full backlight, no transformation."""
-        return float(sum(frame.result.reference_power.total
-                         for frame in self._history) * seconds_per_frame)
-
-    def energy_saving_percent(self) -> float:
-        """Percent energy saving of the processed stream."""
-        reference = self.reference_energy()
-        if reference <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.energy() / reference)

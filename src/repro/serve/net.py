@@ -306,10 +306,8 @@ class FrameServerBase:
             payload = bytes(message)
             frame = (len(payload).to_bytes(protocol.HEADER_BYTES, "big")
                      + payload)
-        elif version >= 2:
-            frame = wire2.encode_frame(message)
         else:
-            frame = protocol.encode_frame(message)
+            frame = wire2.encode_any(message, version)
         async with write_lock:
             writer.write(frame)
             await writer.drain()

@@ -714,7 +714,8 @@ def solve_request(request_id: int, source: Image | Histogram,
 def process_request(request_id: int, image: Image, max_distortion: float,
                     algorithm: str | None = None,
                     routing: bytes | None = None, *,
-                    binary: bool = False) -> dict:
+                    binary: bool = False,
+                    shm: Mapping[str, Any] | None = None) -> dict:
     """The full-image path: the server applies the solution and accounts
     distortion and power.
 
@@ -722,10 +723,12 @@ def process_request(request_id: int, image: Image, max_distortion: float,
     image (hex on the wire), so a cluster router can place the request
     without decoding pixels on its event loop.  Servers ignore it; an
     un-stamped request routes fine — the router derives the key itself,
-    off-loop.
+    off-loop.  ``shm`` replaces the pixel payload with a shared-memory
+    block reference, as in :func:`feed_request`.
     """
     message = {"type": "process", "id": int(request_id),
-               "image": image_to_wire(image, binary=binary),
+               "image": (image_to_wire(image, binary=binary) if shm is None
+                         else {"shm": dict(shm)}),
                "max_distortion": float(max_distortion),
                "algorithm": algorithm}
     if routing is not None:

@@ -20,11 +20,11 @@ nonce, stale name) fails the attach or the compare and the server answers
 **Frame transport.**  :class:`ShmLane` (client side) maintains one
 reusable data block per connection, grown on demand; an image travels as
 the descriptor ``{"block", "dtype", "shape", "nbytes", "bit_depth",
-"label"}`` in place of its pixel payload.  The lane is restricted to the
-*lockstep* sync client — one request in flight per connection — so the
-block is never overwritten before the server has copied it out
-(:meth:`ShmRegistry.resolve` copies at decode time).  Pipelined and async
-traffic stays on the socket lane.
+"label"}`` in place of its pixel payload.  The lane is restricted to
+sync *lockstep* calls made with no pipeline open — one request in flight
+per connection — so the block is never overwritten before the server has
+copied it out (:meth:`ShmRegistry.resolve` copies at decode time).
+Pipelined and async traffic stays on the socket lane.
 
 **Leak-proofing.**  Shared-memory blocks outlive processes, so both ends
 unlink: the client in :meth:`ShmLane.close` (normal shutdown), the server

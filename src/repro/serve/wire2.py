@@ -53,6 +53,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -66,6 +67,7 @@ __all__ = [
     "is_v2_payload",
     "encode_message",
     "encode_frame",
+    "encode_any",
     "decode_message",
     "decode_any",
     "peek",
@@ -237,12 +239,18 @@ def decode_message(payload: bytes) -> dict:
     return _materialize(header, memoryview(payload), spans)
 
 
+def encode_any(message: Mapping[str, Any], version: int) -> bytes:
+    """A complete length-prefixed frame in the codec of protocol
+    generation ``version``: v2 binary from 2 on, v1 JSON below."""
+    if version >= 2:
+        return encode_frame(message)
+    return protocol.encode_frame(message)
+
+
 def decode_any(payload: bytes) -> tuple[int, dict]:
     """Sniff and decode either codec: ``(frame_version, message)``."""
     if is_v2_payload(payload):
         return 2, decode_message(payload)
-    # deferred import dance is unnecessary: protocol has no import cycle
-    from repro.serve import protocol
     return 1, protocol.decode_frame(payload)
 
 

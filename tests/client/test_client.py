@@ -1,7 +1,7 @@
 """Tests for the client SDK's connection care and the loadgen adapter.
 
-The reconnect-with-backoff and retry-after logic is exercised against a
-scripted fake server (deterministic failure injection); the
+The reconnect-with-backoff and retry-after logic of both clients is
+exercised against a scripted fake server (deterministic failure injection); the
 :class:`~repro.client.RemoteServerAdapter` is exercised against a real
 :class:`~repro.serve.net.NetworkServer` through the unchanged
 :mod:`repro.serve.loadgen` generators — the ``repro loadtest --connect``
@@ -10,6 +10,7 @@ path end to end.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
@@ -19,7 +20,12 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.api.registry import HEBSAlgorithm
-from repro.client import Client, RemoteServerAdapter, parse_address
+from repro.client import (
+    AsyncClient,
+    Client,
+    RemoteServerAdapter,
+    parse_address,
+)
 from repro.serve import (
     NetworkServer,
     Server,
@@ -79,7 +85,12 @@ class _ScriptedServer:
       (simulating a server crash mid-conversation);
     * ``"overload"`` — answer every request with an ``overloaded`` error
       frame carrying ``retry_after``;
-    * ``"serve"`` — answer every request with a canned ``stats`` response.
+    * ``"serve"`` — answer every request with a canned ``stats`` response;
+    * ``"once"`` — answer the first request, then close the connection
+      (a server dropping an idle client);
+    * ``"oversize"`` — answer the first request with a length prefix
+      beyond :data:`~repro.serve.protocol.MAX_FRAME_BYTES` followed by
+      junk, then hang up.
     """
 
     def __init__(self, script: list[str], retry_after: float = 0.01) -> None:
@@ -137,9 +148,16 @@ class _ScriptedServer:
                         "scripted overload", queue_depth=9,
                         retry_after_seconds=self.retry_after))))
                 continue
+            if behaviour == "oversize":
+                conn.sendall((protocol.MAX_FRAME_BYTES + 1).to_bytes(
+                    protocol.HEADER_BYTES, "big")
+                    + b'{"type": "stats", "junk": "' + b"x" * 64 + b'"}')
+                return
             conn.sendall(protocol.encode_frame(
                 {"type": "stats", "id": request["id"],
                  "stats": {"canned": True}}))
+            if behaviour == "once":
+                return
 
     def close(self) -> None:
         self._sock.close()
@@ -195,6 +213,62 @@ class TestReconnectWithBackoff:
                 client.stats_dict()
             assert fake.requests_seen == 1
             client.close()
+        finally:
+            fake.close()
+
+    def test_an_oversized_reply_drops_the_socket(self):
+        # an unframeable reply leaves the rest of its payload on the
+        # socket: the client must not read it as the next header
+        fake = _ScriptedServer(["oversize", "serve"])
+        try:
+            client = Client(*fake.address, retries=0, timeout=10.0)
+            with pytest.raises((ConnectionError, protocol.ProtocolError),
+                               match="byte frame"):
+                client.stats_dict()
+            assert client.stats_dict() == {"canned": True}
+            assert fake.connections == 2
+            client.close()
+        finally:
+            fake.close()
+
+
+class TestAsyncReconnect:
+    def test_async_client_reconnects_after_a_dropped_connection(self):
+        fake = _ScriptedServer(["drop", "serve"])
+
+        async def scenario():
+            client = AsyncClient(*fake.address, retries=3, backoff=0.01)
+            try:
+                return await client.stats_dict()
+            finally:
+                await client.close()
+        try:
+            assert asyncio.run(scenario()) == {"canned": True}
+            assert fake.connections == 2      # the drop forced a reconnect
+        finally:
+            fake.close()
+
+    def test_async_client_reconnects_after_the_server_closes_it(self):
+        # the server hangs up on an idle connection: the next call must
+        # reconnect at once, not write into the dead socket and wait out
+        # the whole timeout
+        fake = _ScriptedServer(["once", "serve"])
+        timeout = 5.0
+
+        async def scenario():
+            client = AsyncClient(*fake.address, retries=3, backoff=0.01,
+                                 timeout=timeout)
+            try:
+                assert await client.stats_dict() == {"canned": True}
+                await asyncio.sleep(0.2)       # the close arrives, idle
+                started = time.perf_counter()
+                assert await client.stats_dict() == {"canned": True}
+                return time.perf_counter() - started
+            finally:
+                await client.close()
+        try:
+            assert asyncio.run(scenario()) < timeout / 5
+            assert fake.connections == 2
         finally:
             fake.close()
 
@@ -332,18 +406,19 @@ class TestClientPipeline:
             assert good.result().algorithm == "hebs"
             assert 0.0 < also_good.result().backlight_factor <= 1.0
 
-    def test_lockstep_calls_are_refused_while_a_pipeline_is_open(
-            self, remote, lena):
+    def test_lockstep_call_inside_a_pipeline_joins_it(self, remote,
+                                                      pipeline, lena):
         network, _ = remote
         host, port = network.address
+        want = Engine(HEBSAlgorithm(pipeline)).process(lena, 10.0)
         with Client(host=host, port=port, timeout=60.0) as client:
             with client.pipeline() as batch:
                 reply = batch.solve(lena, 10.0)
-                with pytest.raises(RuntimeError, match="pipeline"):
-                    client.process(lena, 10.0)
-            assert reply.result() is not None
+                # a lockstep call in the open pipeline gets its own reply
+                assert client.process(lena, 10.0) == want
+                assert 0.0 < reply.result().backlight_factor <= 1.0
             # the client is back in lockstep mode after close
-            assert client.process(lena, 10.0).algorithm == "hebs"
+            assert client.process(lena, 10.0) == want
 
     def test_second_pipeline_on_the_same_client_is_refused(self, remote):
         network, _ = remote

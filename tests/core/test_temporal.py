@@ -1,30 +1,12 @@
-"""Unit tests for the temporal (video) backlight controller."""
+"""Unit tests for the temporal (video) building blocks."""
 
-import numpy as np
 import pytest
 
 from repro.core.temporal import (
     BacklightSmoother,
     RollingHistogram,
     SceneChangeDetector,
-    TemporalBacklightController,
 )
-from repro.imaging.image import Image
-
-
-def make_clip(bright_then_dark: bool = True, n_frames: int = 6) -> list[Image]:
-    """A deterministic clip with a hard scene cut in the middle."""
-    rng = np.random.default_rng(7)
-    bright = np.clip(rng.normal(0.7, 0.1, size=(48, 48)), 0, 1)
-    dark = np.clip(rng.normal(0.25, 0.08, size=(48, 48)), 0, 1)
-    first, second = (bright, dark) if bright_then_dark else (dark, bright)
-    frames = []
-    for index in range(n_frames):
-        scene = first if index < n_frames // 2 else second
-        jitter = 0.01 * rng.standard_normal(scene.shape)
-        frames.append(Image.from_float(np.clip(scene + jitter, 0, 1),
-                                       name=f"frame{index}"))
-    return frames
 
 
 class TestBacklightSmoother:
@@ -142,54 +124,6 @@ class TestSceneChangeDetector:
     def test_validation(self):
         with pytest.raises(ValueError, match="threshold"):
             SceneChangeDetector(threshold=0.0)
-
-
-class TestTemporalBacklightController:
-    def test_flicker_constraint_met(self, pipeline):
-        controller = TemporalBacklightController(
-            pipeline, max_distortion=15.0,
-            smoother=BacklightSmoother(smoothing=0.6, max_step=0.08))
-        for frame in make_clip():
-            controller.submit(frame)
-        # 1/255 slack for the rounding of the factor to a dynamic range
-        assert controller.worst_step() <= 0.08 + 1.5 / 255
-
-    def test_scene_cut_flagged_once(self, pipeline):
-        controller = TemporalBacklightController(pipeline, max_distortion=15.0)
-        flags = [controller.submit(frame).scene_change for frame in make_clip()]
-        assert flags[0] is True            # first frame
-        assert any(flags[1:])              # the cut in the middle
-        assert flags.count(True) <= 3      # but not every frame
-
-    def test_energy_saved_versus_full_backlight(self, pipeline):
-        controller = TemporalBacklightController(pipeline, max_distortion=15.0)
-        for frame in make_clip():
-            controller.submit(frame)
-        assert controller.energy() < controller.reference_energy()
-        assert 0.0 < controller.energy_saving_percent() < 100.0
-
-    def test_requested_vs_applied_tracking(self, pipeline):
-        controller = TemporalBacklightController(
-            pipeline, max_distortion=15.0,
-            smoother=BacklightSmoother(smoothing=1.0, max_step=1.0))
-        outcome = controller.submit(make_clip()[0])
-        # with no smoothing the applied factor equals the requested one up to
-        # the 1-level rounding of the dynamic range
-        assert outcome.applied_backlight == pytest.approx(
-            outcome.requested_backlight, abs=1.5 / 255)
-
-    def test_history_and_trace(self, pipeline):
-        controller = TemporalBacklightController(pipeline, max_distortion=15.0,
-                                                 adaptive=False)
-        clip = make_clip(n_frames=4)
-        for frame in clip:
-            controller.submit(frame)
-        assert len(controller.history) == 4
-        assert controller.backlight_trace().shape == (4,)
-
-    def test_validation(self, pipeline):
-        with pytest.raises(ValueError, match="non-negative"):
-            TemporalBacklightController(pipeline, max_distortion=-1.0)
 
 
 class TestDataclassHygiene:

@@ -20,7 +20,7 @@ from repro.api.engine import Engine
 from repro.api.registry import CompensationAlgorithm, HEBSAlgorithm, create
 from repro.api.session import SessionClosedError
 from repro.core.histogram import Histogram
-from repro.client import AsyncClient, Client
+from repro.client import AsyncClient, Client, RemoteSession
 from repro.serve import NetworkServer, Server, ServerOverloadedError, protocol
 
 
@@ -121,16 +121,8 @@ class TestRemoteErrors:
         with Client(host=host, port=port) as fresh:
             # a session id this connection never opened: the server answers
             # with a session_closed error frame, not a dropped connection
-            response_error = None
-            try:
-                fresh._request(
-                    lambda request_id, binary: protocol.feed_request(
-                        request_id, "s99999", _tiny_image(), binary=binary),
-                    expected="frame", reconnect=False)
-            except SessionClosedError as exc:
-                response_error = exc
-            assert response_error is not None
-            assert "unknown session" in str(response_error)
+            with pytest.raises(SessionClosedError, match="unknown session"):
+                RemoteSession(fresh, "s99999", 10.0).submit(_tiny_image())
 
     def test_submitting_to_a_locally_closed_session_raises(self, net):
         host, port = net.address
